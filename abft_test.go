@@ -1,6 +1,7 @@
 package stencilabft_test
 
 import (
+	"io"
 	"testing"
 
 	abft "stencilabft"
@@ -76,6 +77,7 @@ func TestPublicClusterFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p.(io.Closer).Close()
 	p.Run(12)
 	ts := p.Stats()
 	if ts.Detections == 0 || ts.CorrectedPoints == 0 {
@@ -218,9 +220,11 @@ func TestBuildPathPinsLegacyContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.(*abft.Cluster[float32]); !ok {
+	cl, ok := c.(*abft.Cluster[float32])
+	if !ok {
 		t.Fatalf("cluster spec built %T, want *Cluster", c)
 	}
+	defer cl.Close()
 	c.Run(4)
 	if c.Iter() != 4 {
 		t.Fatalf("cluster Build path: iter %d", c.Iter())

@@ -349,6 +349,7 @@ func BenchmarkDistCluster(b *testing.B) {
 				if c.Stats().Detections != 0 {
 					b.Fatal("false positive in bench")
 				}
+				c.Close()
 			}
 		})
 	}
@@ -573,6 +574,7 @@ func BenchmarkClusterTelemetry(b *testing.B) {
 				if c.Stats().Detections != 0 {
 					b.Fatal("false positive in bench")
 				}
+				c.Close()
 			}
 		})
 	}
@@ -613,6 +615,7 @@ func BenchmarkClusterBuddy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer c.Close()
 			if buddy != nil {
 				if err := buddy.Attach(c); err != nil {
 					b.Fatal(err)

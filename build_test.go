@@ -2,6 +2,7 @@ package stencilabft_test
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -260,6 +261,7 @@ func TestBuildCluster3D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { p.(io.Closer).Close() })
 		p.Run(matrixIters)
 		if st := p.Stats(); st.Detections != 0 || st.Topology != "layers 2" {
 			t.Fatalf("3-D cluster stats: %+v", st)

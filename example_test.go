@@ -77,8 +77,10 @@ func ExampleBuild_cluster() {
 	if err != nil {
 		panic(err)
 	}
+	c := p.(*abft.Cluster[float64])
+	defer c.Close() // stops the persistent rank goroutines
 	p.Run(16)
-	for i, s := range p.(*abft.Cluster[float64]).RankStats() {
+	for i, s := range c.RankStats() {
 		fmt.Printf("rank %d: detections=%d corrected=%d\n", i, s.Detections, s.CorrectedPoints)
 	}
 	g := p.Grid()

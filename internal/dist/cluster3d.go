@@ -7,7 +7,6 @@ import (
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
 	"stencilabft/internal/stencil"
-	"stencilabft/internal/telemetry"
 )
 
 // Cluster3D runs a 3-D stencil domain decomposed into z-layer slabs over
@@ -16,16 +15,15 @@ import (
 // Along z it is structurally the 1-D row-band cluster (a chain of ranks
 // exchanging one halo strip per side through the same Transport seam,
 // wired as a 1-by-nRanks grid), which is what makes it nearly free on top
-// of the Decomp refactor. It satisfies the unified protector contract:
-// Step and Run apply the injection plan configured in Options, Grid3D
-// gathers the global domain, Stats merges the per-rank counters.
+// of the Decomp refactor. Running it is the 2-D cluster's driver verbatim:
+// persistent rank goroutines, Run/RunRecover with fault capture, AfterStep,
+// Close and the merged counters. It satisfies the unified protector
+// contract: Step and Run apply the injection plan configured in Options,
+// Grid3D gathers the global domain, Stats merges the per-rank counters.
 type Cluster3D[T num.Float] struct {
+	driver[T, *rank3d[T]]
 	nx, ny, nz int
 	decomp     Decomp // z chain as a 1-by-nRanks grid over (1, nz)
-	ranks      []*rank3d[T]
-	tr         Transport[T]
-	plans      []*fault.Injector[T] // per-rank routed Options.Inject (absolute iterations)
-	iter       int
 }
 
 // NewCluster3D decomposes init into nRanks z-layer slabs wired through the
@@ -71,7 +69,7 @@ func NewCluster3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], nRanks
 		r.tel = opt.Telemetry.Recorder(i)
 		c.ranks = append(c.ranks, r)
 	}
-	c.plans = c.routePlan(opt.Inject)
+	c.start(c.routePlan(opt.Inject), opt.AfterStep, 1)
 	return c, nil
 }
 
@@ -82,49 +80,6 @@ func (c *Cluster3D[T]) Ranks() int { return len(c.ranks) }
 func (c *Cluster3D[T]) Slab(i int) (z0, z1 int) {
 	r := c.ranks[i]
 	return r.z0, r.z1
-}
-
-// Iter returns the number of completed cluster iterations.
-func (c *Cluster3D[T]) Iter() int { return c.iter }
-
-// RankStats returns each rank's counters, indexed by rank. When telemetry
-// is enabled each entry carries that rank's phase-time breakdown.
-func (c *Cluster3D[T]) RankStats() []Stats {
-	out := make([]Stats, len(c.ranks))
-	m, haveM := c.TransportMetrics()
-	for i, r := range c.ranks {
-		out[i] = r.stats
-		out[i].Timing = r.tel.Timing()
-		if haveM {
-			out[i].Transport = m.PerRank(r.id)
-		}
-	}
-	if haveM && len(out) > 0 {
-		out[0].Transport.DialRetries += m.DialRetries
-		out[0].Transport.PoisonEvents += m.Poisoned
-	}
-	return out
-}
-
-// Stats returns the cluster-wide merge of the per-rank counters, with
-// Iterations normalised to lockstep sweeps (Iter), like the 2-D cluster.
-func (c *Cluster3D[T]) Stats() Stats {
-	var total Stats
-	for _, s := range c.RankStats() {
-		total = total.Merge(s)
-	}
-	total.Iterations = c.iter
-	return total
-}
-
-// TransportMetrics returns the transport's per-edge traffic snapshot when
-// the backend counts its traffic (both built-ins do).
-func (c *Cluster3D[T]) TransportMetrics() (telemetry.TransportMetrics, bool) {
-	m, ok := c.tr.(MetricsSource)
-	if !ok {
-		return telemetry.TransportMetrics{}, false
-	}
-	return m.Metrics(), true
 }
 
 // Gather reassembles the global domain from the ranks' current slab states.
@@ -147,50 +102,14 @@ func (c *Cluster3D[T]) Grid3D() *grid.Grid3D[T] { return c.Gather() }
 // Grid returns nil: Cluster3D decomposes 3-D domains.
 func (c *Cluster3D[T]) Grid() *grid.Grid[T] { return nil }
 
-// Finalize is a no-op: every rank verifies every sweep, so nothing is
-// pending at the end of a run.
-func (c *Cluster3D[T]) Finalize() {}
-
-// Step advances the cluster by one lockstep iteration; like the 2-D
-// cluster, batch known iteration counts through Run.
-func (c *Cluster3D[T]) Step() { c.Run(1) }
-
-// Run advances the cluster by count lockstep iterations, applying the
-// injection plan configured in Options (absolute iteration numbers).
-func (c *Cluster3D[T]) Run(count int) {
-	if count <= 0 {
-		return
-	}
-	base := c.iter
-	done := make(chan struct{}, len(c.ranks))
-	for i, r := range c.ranks {
-		go func(r *rank3d[T], cfg *fault.Injector[T]) {
-			for t := 0; t < count; t++ {
-				r.tel.SetIter(base + t)
-				r.exchangeHalos()
-				r.step(stencil.HookAt[T](injSource(cfg), base+t))
-				tb := r.tel.Begin()
-				c.tr.Barrier()
-				r.tel.End(telemetry.PhaseBarrierWait, tb)
-			}
-			done <- struct{}{}
-		}(r, c.plans[i])
-	}
-	for range c.ranks {
-		<-done
-	}
-	c.iter += count
-}
-
 // routePlan splits a global fault plan into per-rank plans with the
 // injection layer translated into the owning rank's extended-grid frame.
 // Injections outside the domain are dropped.
 func (c *Cluster3D[T]) routePlan(plan *fault.Plan) []*fault.Injector[T] {
-	out := make([]*fault.Injector[T], len(c.ranks))
-	if plan == nil {
-		return out
-	}
 	perRank := make([][]fault.Injection, len(c.ranks))
+	if plan == nil {
+		return injectors[T](perRank)
+	}
 	for _, inj := range plan.Injections() {
 		if inj.X < 0 || inj.X >= c.nx || inj.Y < 0 || inj.Y >= c.ny || inj.Z < 0 || inj.Z >= c.nz {
 			continue
@@ -201,10 +120,5 @@ func (c *Cluster3D[T]) routePlan(plan *fault.Plan) []*fault.Injector[T] {
 		local.Z = inj.Z - r.z0 + r.h
 		perRank[i] = append(perRank[i], local)
 	}
-	for i, injs := range perRank {
-		if len(injs) > 0 {
-			out[i] = fault.NewInjector[T](fault.NewPlan(injs...))
-		}
-	}
-	return out
+	return injectors[T](perRank)
 }

@@ -22,6 +22,18 @@ func star7() *stencil.Stencil[float64] {
 	return stencil.SevenPoint3D[float64](0.5, 0.08, 0.08, 0.09, 0.09, 0.06, 0.10)
 }
 
+// newCluster3D builds a layer cluster whose rank goroutines are stopped
+// when the test ends.
+func newCluster3D(t *testing.T, op *stencil.Op3D[float64], init *grid.Grid3D[float64], ranks int, opt Options[float64]) *Cluster3D[float64] {
+	t.Helper()
+	c, err := NewCluster3D(op, init, ranks, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // reference3D runs the unprotected single-process 3-D baseline.
 func reference3D(t *testing.T, op *stencil.Op3D[float64], init *grid.Grid3D[float64], iters int) *grid.Grid3D[float64] {
 	t.Helper()
@@ -47,10 +59,7 @@ func TestCluster3DMatchesReference(t *testing.T) {
 				init := testInit3D(nx, ny, nz)
 				want := reference3D(t, op, init, iters)
 
-				c, err := NewCluster3D(op, init, ranks, strictOpts())
-				if err != nil {
-					t.Fatal(err)
-				}
+				c := newCluster3D(t, op, init, ranks, strictOpts())
 				c.Run(iters)
 				if ts := c.Stats(); ts.Detections != 0 {
 					t.Fatalf("false positive: %+v", ts)
@@ -73,10 +82,7 @@ func TestCluster3DConstantField(t *testing.T) {
 	init := testInit3D(nx, ny, nz)
 	want := reference3D(t, op, init, iters)
 
-	c, err := NewCluster3D(op, init, 3, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCluster3D(t, op, init, 3, strictOpts())
 	c.Run(iters)
 	if ts := c.Stats(); ts.Detections != 0 {
 		t.Fatalf("false positive: %+v", ts)
@@ -114,10 +120,7 @@ func TestCluster3DInjectionLocality(t *testing.T) {
 
 				opt := strictOpts()
 				opt.Inject = fault.NewPlan(fault.Injection{Iteration: 4, X: tc.x, Y: tc.y, Z: tc.z, Bit: 57})
-				c, err := NewCluster3D(op, init, 3, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
+				c := newCluster3D(t, op, init, 3, opt)
 				c.Run(iters)
 				for i, s := range c.RankStats() {
 					if i == tc.owner {
@@ -141,10 +144,7 @@ func TestCluster3DInjectionLocality(t *testing.T) {
 func TestCluster3DSlabsAndStats(t *testing.T) {
 	const nx, ny, nz, iters, ranks = 10, 8, 11, 7, 3
 	op := &stencil.Op3D[float64]{St: star7(), BC: grid.Clamp}
-	c, err := NewCluster3D(op, testInit3D(nx, ny, nz), ranks, strictOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCluster3D(t, op, testInit3D(nx, ny, nz), ranks, strictOpts())
 	prevEnd := 0
 	for i := 0; i < c.Ranks(); i++ {
 		z0, z1 := c.Slab(i)
@@ -197,10 +197,7 @@ func TestCluster3DPool(t *testing.T) {
 
 	opt := strictOpts()
 	opt.Pool = &stencil.Pool{Workers: 4}
-	c, err := NewCluster3D(op, init, 2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCluster3D(t, op, init, 2, opt)
 	c.Run(iters)
 	if ts := c.Stats(); ts.Detections != 0 {
 		t.Fatalf("false positive: %+v", ts)
@@ -229,7 +226,9 @@ func TestCluster3DValidation(t *testing.T) {
 		t.Fatal("more ranks than layers accepted")
 	}
 	// 3 ranks over 6 layers leaves 2-layer slabs: the thinnest radius-1 fit.
-	if _, err := NewCluster3D(op, init, 3, Options[float64]{}); err != nil {
+	c, err := NewCluster3D(op, init, 3, Options[float64]{})
+	if err != nil {
 		t.Fatalf("3 ranks over 6 layers rejected: %v", err)
 	}
+	c.Close()
 }

@@ -12,19 +12,21 @@
 // splits over a RanksX-by-RanksY Cartesian rank grid (NewClusterGrid; the
 // historical 1-D row bands are the RanksX == 1 column), and a 3-D domain
 // splits into z-layer slabs (NewCluster3D), which reuse the band structure
-// along z. Ranks are goroutines communicating through the Transport seam.
-// The default ChanTransport wires them with paired channels in the MPI
-// neighbour pattern and separates iterations with a cyclic barrier, so
-// every rank's halo data is always exactly one iteration fresh — the
-// lockstep of a bulk-synchronous MPI stencil code. Real MPI or socket
-// backends implement Transport and plug in via Options.NewTransport.
+// along z. Both cluster kinds run on one driver: each rank is a persistent
+// goroutine communicating through the Transport seam, and a cyclic barrier
+// separates exchange rounds, so every rank's halo data is always exactly
+// as fresh as its schedule needs — the lockstep of a bulk-synchronous MPI
+// stencil code. A 2-D rank overlaps its halo exchange with its interior
+// sweep and can exchange depth-k ghost zones every k iterations
+// (overlap.go); a 3-D slab exchanges its halo layers, then sweeps, every
+// iteration. The default ChanTransport wires the ranks with paired
+// channels in the MPI neighbour pattern; real MPI or socket backends
+// implement Transport and plug in via Options.NewTransport.
 package dist
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"stencilabft/internal/checksum"
@@ -161,33 +163,9 @@ type Stats = stats.Stats
 // remote ones through the transport's barrier, and Gather/Stats cover the
 // hosted tiles only.
 type Cluster[T num.Float] struct {
-	decomp    Decomp
-	local     []int      // materialised rank ids, sorted (all of them by default)
-	ranks     []*rank[T] // aligned with local
-	tr        Transport[T]
-	plans     []*fault.Injector[T] // per-materialised-rank routed Options.Inject (absolute iterations)
-	afterStep func(rank, iter int)
-	iter      int
-	haloDepth int
-
-	// Each materialised rank runs on one persistent goroutine, spawned at
-	// construction and fed batches through its command channel — Run then
-	// costs a channel send and a join per rank instead of a goroutine
-	// spawn, keeping the steady-state iteration path allocation-free.
-	// Close shuts them down.
-	cmds       []chan rankCmd[T]
-	done       chan struct{}
-	faultMu    sync.Mutex
-	firstFault error
-	closeOnce  sync.Once
-}
-
-// rankCmd is one Run batch handed to a rank goroutine: iters iterations
-// starting at absolute iteration base, with an optional per-call
-// injector (RunPlan's call-relative plan).
-type rankCmd[T num.Float] struct {
-	iters, base int
-	perCall     *fault.Injector[T]
+	driver[T, *rank[T]]
+	decomp Decomp
+	local  []int // materialised rank ids, sorted (all of them by default); aligned with ranks
 }
 
 // NewCluster decomposes init into nRanks horizontal row bands — the Nx1
@@ -229,7 +207,7 @@ func NewClusterGrid[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], ranksX
 	opt = opt.withDefaults()
 	opt.HaloDepth = depth
 
-	c := &Cluster[T]{decomp: d, local: local, afterStep: opt.AfterStep, haloDepth: depth}
+	c := &Cluster[T]{decomp: d, local: local}
 	c.tr = opt.NewTransport(ranksX, ranksY, op.BC == grid.Periodic)
 	for _, i := range local {
 		r, err := newRank(op, init, i, d.TileOf(i), hx, hy, opt)
@@ -242,13 +220,7 @@ func NewClusterGrid[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], ranksX
 		r.tel = opt.Telemetry.Recorder(i)
 		c.ranks = append(c.ranks, r)
 	}
-	c.plans = c.routePlan(opt.Inject)
-	c.cmds = make([]chan rankCmd[T], len(c.ranks))
-	c.done = make(chan struct{}, len(c.ranks))
-	for i, r := range c.ranks {
-		c.cmds[i] = make(chan rankCmd[T], 1)
-		go c.rankLoop(r, c.plans[i], c.cmds[i])
-	}
+	c.start(c.routePlan(opt.Inject), opt.AfterStep, depth)
 	return c, nil
 }
 
@@ -294,90 +266,16 @@ func (c *Cluster[T]) Decomp() Decomp { return c.decomp }
 // answerable for remote ranks too.
 func (c *Cluster[T]) Tile(i int) Tile { return c.decomp.TileOf(i) }
 
-// Band returns the global row range [y0, y1) owned by rank i — meaningful
-// for the 1-D row-band (RanksX == 1) topology it predates.
-//
-// Deprecated: use Tile.
-func (c *Cluster[T]) Band(i int) (y0, y1 int) {
-	t := c.decomp.TileOf(i)
-	return t.Y0, t.Y1
-}
-
-// Iter returns the number of completed cluster iterations.
-func (c *Cluster[T]) Iter() int { return c.iter }
-
 // HaloDepth returns the cluster's ghost-zone depth k: halo exchanges
 // happen on iterations where Iter%k == 0, and checkpoint restores must
 // land on multiples of k. 1 is the classic exchange-every-iteration
 // schedule.
-func (c *Cluster[T]) HaloDepth() int { return c.haloDepth }
+func (c *Cluster[T]) HaloDepth() int { return c.depth }
 
-// RankStats returns the materialised ranks' counters, aligned with
-// LocalRanks — for a default cluster, indexed by rank id. When telemetry
-// is enabled each entry carries that rank's phase-time breakdown.
-func (c *Cluster[T]) RankStats() []Stats {
-	out := make([]Stats, len(c.ranks))
-	m, haveM := c.TransportMetrics()
-	for i, r := range c.ranks {
-		out[i] = r.stats
-		out[i].Timing = r.tel.Timing()
-		if haveM {
-			out[i].Transport = m.PerRank(r.id)
-		}
-	}
-	// The transport-global counters have no owning rank; park them on the
-	// first entry so merging RankStats reproduces the cluster totals.
-	if haveM && len(out) > 0 {
-		out[0].Transport.DialRetries += m.DialRetries
-		out[0].Transport.PoisonEvents += m.Poisoned
-		out[0].Transport.Reconnects += m.Reconnects
-		out[0].Transport.Resends += m.Resends
-		out[0].Transport.CrcErrors += m.CrcErrors
-		out[0].Transport.DupFrames += m.DupFrames
-	}
-	return out
-}
-
-// Stats returns the cluster-wide merge of the per-rank counters, with
-// Iterations normalised to lockstep sweeps (Iter) so the count stays
-// comparable across deployments: like the local and blocked protectors, a
-// cluster reports one iteration per global sweep. Event counters
-// (Verifications, Detections, HaloExchanges, the per-direction HaloByDir, …)
-// remain per-rank sums, just as the blocked protector counts one
-// verification per block.
-func (c *Cluster[T]) Stats() Stats {
-	var total Stats
-	for _, s := range c.RankStats() {
-		total = total.Merge(s)
-	}
-	total.Iterations = c.iter
-	return total
-}
-
-// MetricsSource is implemented by transports that count their traffic.
-// Both built-in backends do; a custom Options.NewTransport backend may
-// not, in which case the cluster's Stats simply carry a zero Transport.
-type MetricsSource interface {
-	Metrics() telemetry.TransportMetrics
-}
-
-// TransportMetrics returns the transport's per-edge traffic snapshot, or
-// ok == false when the backend does not implement MetricsSource.
-func (c *Cluster[T]) TransportMetrics() (telemetry.TransportMetrics, bool) {
-	m, ok := c.tr.(MetricsSource)
-	if !ok {
-		return telemetry.TransportMetrics{}, false
-	}
-	return m.Metrics(), true
-}
-
-// TotalStats is the historical name of Stats. Note the Iterations
-// semantics changed with the unified counter model: it now reports
-// lockstep sweeps (Iter), not the historical per-rank sum — sum
-// RankStats' Iterations for the old value.
-//
-// Deprecated: use Stats.
-func (c *Cluster[T]) TotalStats() Stats { return c.Stats() }
+// Transport exposes the cluster's communication backend — how the
+// resilience layer reaches the checkpoint-carrier and abort capabilities of
+// the transport it configured.
+func (c *Cluster[T]) Transport() Transport[T] { return c.tr }
 
 // Gather reassembles the global domain from the ranks' current tile
 // states — the MPI_Gather at the end of a distributed run. Call it between
@@ -402,175 +300,6 @@ func (c *Cluster[T]) Grid() *grid.Grid[T] { return c.Gather() }
 // Grid3D returns nil: this cluster decomposes 2-D domains (Cluster3D is
 // the z-layer deployment).
 func (c *Cluster[T]) Grid3D() *grid.Grid3D[T] { return nil }
-
-// Finalize is a no-op: every rank verifies every sweep, so nothing is
-// pending at the end of a run.
-func (c *Cluster[T]) Finalize() {}
-
-// Close stops the persistent rank goroutines and tears down the cluster's
-// transport if the backend holds resources (the TCP backend's sockets and
-// goroutines; the in-process channel backend has nothing to release).
-// Call it after the final Run/Gather, never concurrently with one.
-func (c *Cluster[T]) Close() error {
-	c.closeOnce.Do(func() {
-		for _, ch := range c.cmds {
-			close(ch)
-		}
-	})
-	if closer, ok := c.tr.(io.Closer); ok {
-		return closer.Close()
-	}
-	return nil
-}
-
-// Step advances the cluster by one lockstep iteration, applying the
-// injection plan configured in Options. Each call dispatches to and joins
-// the persistent rank goroutines, so batch iterations through Run(count)
-// whenever the iteration count is known up front.
-func (c *Cluster[T]) Step() { c.Run(1) }
-
-// Run advances the cluster by count lockstep iterations, applying the
-// injection plan configured in Options (injections match on the absolute
-// iteration number, Iter-based). A transport fault is fatal, matching the
-// TCP backend's MPI_ERRORS_ARE_FATAL semantics; use RunRecover to survive
-// one.
-func (c *Cluster[T]) Run(count int) {
-	if err := c.run(count, nil); err != nil {
-		panic(err)
-	}
-}
-
-// RunRecover is the fault-tolerant Run: a transport fault (typically a
-// *Fault from a dead peer process) is returned instead of panicking, after
-// every hosted rank has unwound. On fault the cluster's iteration counter
-// is NOT advanced — the hosted tiles are mid-iteration garbage and the
-// caller (the resilience layer) is expected to restore a checkpoint with
-// RestoreState/SetIter, or rebuild the cluster, before running again.
-func (c *Cluster[T]) RunRecover(count int) error { return c.run(count, nil) }
-
-// RunPlan advances the cluster by iters lockstep iterations with an
-// explicit fault plan whose injections are indexed within this call,
-// starting at 0 — the historical entry point. A plan configured in
-// Options.Inject stays live (matched on absolute iterations) alongside the
-// per-call plan.
-//
-// Deprecated: configure Options.Inject and use Run or Step.
-func (c *Cluster[T]) RunPlan(iters int, plan *fault.Plan) {
-	if err := c.run(iters, c.routePlan(plan)); err != nil {
-		panic(err)
-	}
-}
-
-// run advances iters lockstep iterations by handing each persistent rank
-// goroutine a command and joining them. Each rank's sweep hook composes
-// the configured Options.Inject plan (looked up at the absolute iteration)
-// with the per-call plan (looked up at the in-call offset); perCall may be
-// nil. A rank that panics with an error (the transport fault path) aborts
-// the transport so its sibling ranks unwind from their own blocked
-// Recv/Barrier calls, and run returns the first such fault once every rank
-// has stopped; the rank goroutines survive an error fault and accept
-// further commands (the resilience layer restores state and reruns).
-// Non-error panics (programming bugs) abort the siblings too, then
-// re-panic, killing the process.
-func (c *Cluster[T]) run(iters int, perCall []*fault.Injector[T]) error {
-	if iters <= 0 {
-		return nil
-	}
-	c.faultMu.Lock()
-	c.firstFault = nil
-	c.faultMu.Unlock()
-	base := c.iter
-	for i := range c.ranks {
-		var pc *fault.Injector[T]
-		if perCall != nil {
-			pc = perCall[i]
-		}
-		c.cmds[i] <- rankCmd[T]{iters: iters, base: base, perCall: pc}
-	}
-	for range c.ranks {
-		<-c.done
-	}
-	c.faultMu.Lock()
-	err := c.firstFault
-	c.faultMu.Unlock()
-	if err == nil {
-		c.iter += iters
-	}
-	return err
-}
-
-// rankLoop is a materialised rank's persistent goroutine: it executes Run
-// batches from its command channel until Close closes it.
-func (c *Cluster[T]) rankLoop(r *rank[T], cfg *fault.Injector[T], cmds <-chan rankCmd[T]) {
-	for cmd := range cmds {
-		c.runBatch(r, cfg, cmd)
-	}
-}
-
-// runBatch executes one Run batch on the rank's goroutine. The iteration
-// body is the overlap/depth-k schedule (rank.advance); the cluster-wide
-// barrier separates exchange rounds only — at halo depth k that is one
-// barrier every k iterations, since the intervening local iterations
-// touch no shared state. The barrier placed at the END of an exchange
-// iteration is also what fences the in-process transport's zero-copy y
-// payloads: a receiver has copied them before its barrier, so the sender
-// may overwrite the underlying rows on its next sweep.
-func (c *Cluster[T]) runBatch(r *rank[T], cfg *fault.Injector[T], cmd rankCmd[T]) {
-	defer func() {
-		p := recover()
-		if p != nil {
-			err, ok := p.(error)
-			if ok {
-				c.faultMu.Lock()
-				if c.firstFault == nil {
-					c.firstFault = err
-				}
-				c.faultMu.Unlock()
-				p = nil
-			} else {
-				err = fmt.Errorf("dist: rank %d panic: %v", r.id, p)
-			}
-			c.abortTransport(err)
-		}
-		c.done <- struct{}{}
-		if p != nil {
-			panic(p)
-		}
-	}()
-	for t := 0; t < cmd.iters; t++ {
-		abs := cmd.base + t
-		r.tel.SetIter(abs)
-		hook := chainHooks(stencil.HookAt[T](injSource(cfg), abs), stencil.HookAt[T](injSource(cmd.perCall), t))
-		r.advance(abs, hook)
-		if c.afterStep != nil {
-			c.afterStep(r.id, abs)
-		}
-		if r.depth == 1 || abs%r.depth == 0 {
-			tb := r.tel.Begin()
-			c.tr.Barrier()
-			r.tel.End(telemetry.PhaseBarrierWait, tb)
-		}
-	}
-}
-
-// abortTransport wakes every rank blocked in the transport with cause, when
-// the backend supports it. Both built-in backends do; a custom backend
-// without Abort leaves sibling ranks to fail on their own timeouts.
-func (c *Cluster[T]) abortTransport(cause error) {
-	if a, ok := c.tr.(Aborter); ok {
-		a.Abort(cause)
-	}
-}
-
-// Transport exposes the cluster's communication backend — how the
-// resilience layer reaches the checkpoint-carrier and abort capabilities of
-// the transport it configured.
-func (c *Cluster[T]) Transport() Transport[T] { return c.tr }
-
-// SetIter rebases the cluster's absolute iteration counter — the rollback
-// half of a checkpoint restore. Injection plans and telemetry keep working
-// across a rebase because both are keyed on absolute iterations.
-func (c *Cluster[T]) SetIter(n int) { c.iter = n }
 
 // rankByID returns the hosted rank with the given global id.
 func (c *Cluster[T]) rankByID(id int) *rank[T] {
@@ -598,27 +327,6 @@ func (c *Cluster[T]) PackState(id int, dst []T) { c.rankByID(id).packState(dst) 
 // exchange. Pair with SetIter to complete a rollback.
 func (c *Cluster[T]) RestoreState(id int, src []T) { c.rankByID(id).unpackState(src) }
 
-// injSource widens a possibly-nil concrete injector into the InjectSource
-// seam without producing a non-nil interface around a nil pointer.
-func injSource[T num.Float](inj *fault.Injector[T]) stencil.InjectSource[T] {
-	if inj == nil {
-		return nil
-	}
-	return inj
-}
-
-// chainHooks composes two injection hooks, applying a then b; either (or
-// both) may be nil.
-func chainHooks[T num.Float](a, b stencil.InjectFunc[T]) stencil.InjectFunc[T] {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(x, y, z int, v T) T { return b(x, y, z, a(x, y, z, v)) }
-}
-
 // routePlan splits a global fault plan into per-rank plans with the
 // injection point translated into the owning rank's extended-grid frame
 // (the coordinate the sweep hook sees). Injections outside the domain,
@@ -627,15 +335,14 @@ func chainHooks[T num.Float](a, b stencil.InjectFunc[T]) stencil.InjectFunc[T] {
 // exactly once cluster-wide. The returned slice aligns with c.ranks and
 // holds a nil injector for ranks with no scheduled injection.
 func (c *Cluster[T]) routePlan(plan *fault.Plan) []*fault.Injector[T] {
-	out := make([]*fault.Injector[T], len(c.ranks))
+	perRank := make([][]fault.Injection, len(c.ranks))
 	if plan == nil {
-		return out
+		return injectors[T](perRank)
 	}
 	pos := make(map[int]int, len(c.local))
 	for p, id := range c.local {
 		pos[id] = p
 	}
-	perRank := make([][]fault.Injection, len(c.ranks))
 	for _, inj := range plan.Injections() {
 		if inj.Z != 0 || inj.X < 0 || inj.X >= c.decomp.Nx || inj.Y < 0 || inj.Y >= c.decomp.Ny {
 			continue
@@ -650,6 +357,13 @@ func (c *Cluster[T]) routePlan(plan *fault.Plan) []*fault.Injector[T] {
 		local.Y = inj.Y - r.tile.Y0 + r.hy
 		perRank[p] = append(perRank[p], local)
 	}
+	return injectors[T](perRank)
+}
+
+// injectors turns per-rank lists of routed injections into per-rank
+// injectors, nil for ranks with nothing scheduled.
+func injectors[T num.Float](perRank [][]fault.Injection) []*fault.Injector[T] {
+	out := make([]*fault.Injector[T], len(perRank))
 	for p, injs := range perRank {
 		if len(injs) > 0 {
 			out[p] = fault.NewInjector[T](fault.NewPlan(injs...))

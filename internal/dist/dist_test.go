@@ -52,7 +52,7 @@ func TestClusterMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				c.Run(iters)
-				if ts := c.TotalStats(); ts.Detections != 0 {
+				if ts := c.Stats(); ts.Detections != 0 {
 					t.Fatalf("false positive: %+v", ts)
 				}
 				if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
@@ -78,7 +78,7 @@ func TestClusterAsymmetricStencil(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(iters)
-	if ts := c.TotalStats(); ts.Detections != 0 {
+	if ts := c.Stats(); ts.Detections != 0 {
 		t.Fatalf("false positive: %+v", ts)
 	}
 	if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
@@ -101,7 +101,7 @@ func TestClusterConstantField(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(iters)
-	if ts := c.TotalStats(); ts.Detections != 0 {
+	if ts := c.Stats(); ts.Detections != 0 {
 		t.Fatalf("false positive: %+v", ts)
 	}
 	if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
@@ -119,11 +119,13 @@ func TestClusterInjectionRouting(t *testing.T) {
 	want := reference(t, op, init, iters)
 
 	// Row 12 lies in rank 1's band (rows 8..15).
-	c, err := NewCluster(op, init, ranks, strictOpts())
+	opt := strictOpts()
+	opt.Inject = fault.NewPlan(fault.Injection{Iteration: 4, X: 8, Y: 12, Bit: 60})
+	c, err := NewCluster(op, init, ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RunPlan(iters, fault.NewPlan(fault.Injection{Iteration: 4, X: 8, Y: 12, Bit: 60}))
+	c.Run(iters)
 
 	for i, s := range c.RankStats() {
 		if i == 1 {
@@ -149,12 +151,14 @@ func TestClusterBandBoundaryInjection(t *testing.T) {
 	init := testInit(nx, ny)
 	want := reference(t, op, init, iters)
 
-	c, err := NewCluster(op, init, ranks, strictOpts())
+	// Row 8 is rank 1's first row, exchanged into rank 0's halo.
+	opt := strictOpts()
+	opt.Inject = fault.NewPlan(fault.Injection{Iteration: 5, X: 3, Y: 8, Bit: 58})
+	c, err := NewCluster(op, init, ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row 8 is rank 1's first row, exchanged into rank 0's halo.
-	c.RunPlan(iters, fault.NewPlan(fault.Injection{Iteration: 5, X: 3, Y: 8, Bit: 58}))
+	c.Run(iters)
 
 	st := c.RankStats()
 	if st[1].Detections != 1 || st[1].CorrectedPoints != 1 {
@@ -177,12 +181,14 @@ func TestClusterPeriodicInjection(t *testing.T) {
 	init := testInit(nx, ny)
 	want := reference(t, op, init, iters)
 
-	c, err := NewCluster(op, init, ranks, strictOpts())
+	// Row 0 is rank 0's first row, wrapped into rank 3's halo.
+	opt := strictOpts()
+	opt.Inject = fault.NewPlan(fault.Injection{Iteration: 3, X: 5, Y: 0, Bit: 59})
+	c, err := NewCluster(op, init, ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row 0 is rank 0's first row, wrapped into rank 3's halo.
-	c.RunPlan(iters, fault.NewPlan(fault.Injection{Iteration: 3, X: 5, Y: 0, Bit: 59}))
+	c.Run(iters)
 
 	st := c.RankStats()
 	if st[0].Detections != 1 || st[0].CorrectedPoints != 1 {
@@ -205,14 +211,16 @@ func TestClusterMultiRankInjections(t *testing.T) {
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
 	init := testInit(nx, ny)
 
-	c, err := NewCluster(op, init, ranks, strictOpts())
+	opt := strictOpts()
+	opt.Inject = fault.NewPlan(
+		fault.Injection{Iteration: 2, X: 4, Y: 2, Bit: 60},   // rank 0
+		fault.Injection{Iteration: 2, X: 15, Y: 27, Bit: 59}, // rank 3
+	)
+	c, err := NewCluster(op, init, ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RunPlan(iters, fault.NewPlan(
-		fault.Injection{Iteration: 2, X: 4, Y: 2, Bit: 60},   // rank 0
-		fault.Injection{Iteration: 2, X: 15, Y: 27, Bit: 59}, // rank 3
-	))
+	c.Run(iters)
 	st := c.RankStats()
 	for _, i := range []int{0, 3} {
 		if st[i].Detections != 1 || st[i].CorrectedPoints != 1 {
@@ -224,7 +232,7 @@ func TestClusterMultiRankInjections(t *testing.T) {
 			t.Fatalf("bystander rank %d: %+v", i, st[i])
 		}
 	}
-	ts := c.TotalStats()
+	ts := c.Stats()
 	if ts.Detections != 2 || ts.CorrectedPoints != 2 {
 		t.Fatalf("total: %+v", ts)
 	}
@@ -245,7 +253,8 @@ func TestClusterUnevenBands(t *testing.T) {
 	}
 	prevEnd := 0
 	for i := 0; i < c.Ranks(); i++ {
-		y0, y1 := c.Band(i)
+		tile := c.Tile(i)
+		y0, y1 := tile.Y0, tile.Y1
 		if y0 != prevEnd {
 			t.Fatalf("band %d starts at %d, want %d", i, y0, prevEnd)
 		}
@@ -307,7 +316,7 @@ func TestClusterPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(iters)
-	if ts := c.TotalStats(); ts.Detections != 0 {
+	if ts := c.Stats(); ts.Detections != 0 {
 		t.Fatalf("false positive: %+v", ts)
 	}
 	if diff := c.Gather().MaxAbsDiff(want); diff != 0 {
@@ -327,39 +336,42 @@ func TestClusterPoolInjection(t *testing.T) {
 
 	opt := strictOpts()
 	opt.Pool = &stencil.Pool{Workers: 8}
+	opt.Inject = fault.NewPlan(
+		fault.Injection{Iteration: 3, X: 5, Y: 2, Bit: 60},
+		fault.Injection{Iteration: 3, X: 60, Y: 29, Bit: 59},
+	)
 	c, err := NewCluster(op, init, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RunPlan(iters, fault.NewPlan(
-		fault.Injection{Iteration: 3, X: 5, Y: 2, Bit: 60},
-		fault.Injection{Iteration: 3, X: 60, Y: 29, Bit: 59},
-	))
-	ts := c.TotalStats()
+	c.Run(iters)
+	ts := c.Stats()
 	if ts.CorrectedPoints != 2 {
 		t.Fatalf("expected both flips repaired: %+v", ts)
 	}
 }
 
 // TestClusterRunResume: Run may be called repeatedly; iterations and stats
-// accumulate, and injection iterations are indexed within each call.
+// accumulate, and injection iterations are absolute across calls.
 func TestClusterRunResume(t *testing.T) {
 	const nx, ny, ranks = 16, 24, 3
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
 	init := testInit(nx, ny)
 	want := reference(t, op, init, 10)
 
-	c, err := NewCluster(op, init, ranks, strictOpts())
+	// Absolute iteration 6 is the third sweep of the second call.
+	opt := strictOpts()
+	opt.Inject = fault.NewPlan(fault.Injection{Iteration: 6, X: 8, Y: 4, Bit: 60})
+	c, err := NewCluster(op, init, ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Run(4)
-	// Iteration 2 of the second call is absolute iteration 6.
-	c.RunPlan(6, fault.NewPlan(fault.Injection{Iteration: 2, X: 8, Y: 4, Bit: 60}))
+	c.Run(6)
 	if c.Iter() != 10 {
 		t.Fatalf("iteration count %d, want 10", c.Iter())
 	}
-	ts := c.TotalStats()
+	ts := c.Stats()
 	if ts.Detections != 1 || ts.CorrectedPoints != 1 {
 		t.Fatalf("total stats: %+v", ts)
 	}
@@ -377,7 +389,7 @@ func TestClusterRunResume(t *testing.T) {
 		t.Fatalf("residual after correction too large: %g", diff)
 	}
 
-	// Run(0) and a nil plan are no-ops.
+	// Run(0) is a no-op.
 	c.Run(0)
 	if c.Iter() != 10 {
 		t.Fatal("Run(0) advanced the cluster")
@@ -389,15 +401,17 @@ func TestClusterRunResume(t *testing.T) {
 func TestClusterHaloCounters(t *testing.T) {
 	const nx, ny, iters, ranks = 16, 20, 7, 2
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
-	c, err := NewCluster(op, testInit(nx, ny), ranks, strictOpts())
+	// Neither injection can land: one outside the domain, one in 3-D.
+	opt := strictOpts()
+	opt.Inject = fault.NewPlan(
+		fault.Injection{Iteration: 1, X: nx + 5, Y: 3, Bit: 60},
+		fault.Injection{Iteration: 1, X: 3, Y: 3, Z: 1, Bit: 60},
+	)
+	c, err := NewCluster(op, testInit(nx, ny), ranks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Neither injection can land: one outside the domain, one in 3-D.
-	c.RunPlan(iters, fault.NewPlan(
-		fault.Injection{Iteration: 1, X: nx + 5, Y: 3, Bit: 60},
-		fault.Injection{Iteration: 1, X: 3, Y: 3, Z: 1, Bit: 60},
-	))
+	c.Run(iters)
 	for i, s := range c.RankStats() {
 		if s.HaloExchanges != iters {
 			t.Fatalf("rank %d halo exchanges %d, want %d", i, s.HaloExchanges, iters)
@@ -411,14 +425,14 @@ func TestClusterHaloCounters(t *testing.T) {
 	}
 }
 
-// TestStatsAdd checks the aggregation arithmetic in isolation.
-func TestStatsAdd(t *testing.T) {
+// TestStatsMerge checks the aggregation arithmetic in isolation.
+func TestStatsMerge(t *testing.T) {
 	a := Stats{Iterations: 1, Verifications: 2, Detections: 3, CorrectedPoints: 4, ChecksumRepairs: 5, HaloExchanges: 6}
 	b := Stats{Iterations: 10, Verifications: 20, Detections: 30, CorrectedPoints: 40, ChecksumRepairs: 50, HaloExchanges: 60}
-	got := a.Add(b)
+	got := a.Merge(b)
 	want := Stats{Iterations: 11, Verifications: 22, Detections: 33, CorrectedPoints: 44, ChecksumRepairs: 55, HaloExchanges: 66}
 	if got != want {
-		t.Fatalf("Add: %+v", got)
+		t.Fatalf("Merge: %+v", got)
 	}
 	if s := got.String(); s == "" {
 		t.Fatal("empty String()")
@@ -524,30 +538,5 @@ func TestClusterOptionsInject(t *testing.T) {
 	}
 	if diff := c.Gather().MaxAbsDiff(want); diff > 1e-6 {
 		t.Fatalf("residual after correction too large: %g", diff)
-	}
-}
-
-// TestClusterRunPlanComposesWithOptionsInject: a plan configured up front
-// stays live (absolute iterations) while RunPlan's per-call plan applies at
-// its in-call offsets; both flips must land and be repaired.
-func TestClusterRunPlanComposesWithOptionsInject(t *testing.T) {
-	const nx, ny, ranks = 16, 24, 3
-	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
-	init := testInit(nx, ny)
-
-	opt := strictOpts()
-	// Absolute iteration 6 — inside the RunPlan call below (its 2nd sweep).
-	opt.Inject = fault.NewPlan(fault.Injection{Iteration: 6, X: 3, Y: 2, Bit: 60})
-	c, err := NewCluster(op, init, ranks, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(4)
-	// Per-call iteration 2 = absolute iteration 6 as well, but in a
-	// different rank's band, so both injections fire on the same sweep.
-	c.RunPlan(6, fault.NewPlan(fault.Injection{Iteration: 2, X: 8, Y: 20, Bit: 59}))
-	ts := c.Stats()
-	if ts.Detections != 2 || ts.CorrectedPoints != 2 {
-		t.Fatalf("configured + per-call plans did not both land: %+v", ts)
 	}
 }

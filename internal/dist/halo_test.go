@@ -70,8 +70,8 @@ func TestFillSideHalo(t *testing.T) {
 			t.Fatal(err)
 		}
 		left, right := c.ranks[0], c.ranks[2]
-		left.fillSideHalo(true)
-		right.fillSideHalo(false)
+		left.fillSideHaloRows(true, left.loY(), left.hiY())
+		right.fillSideHaloRows(false, right.loY(), right.hiY())
 		for y := 0; y < ny; y++ {
 			if got := left.buf.Read.At(left.loX()-1, left.loY()+y); got != tc.wantLeft(y) {
 				t.Fatalf("%v left ghost at y=%d: got %g, want %g", tc.bc, y, got, tc.wantLeft(y))
@@ -83,22 +83,14 @@ func TestFillSideHalo(t *testing.T) {
 	}
 }
 
-// exchangeAll runs one manual halo-exchange round on every rank
-// concurrently (the exchange is rendezvous-based, so it needs all ranks).
-func exchangeAll(c *Cluster[float64]) {
-	var wg sync.WaitGroup
-	for _, r := range c.ranks {
-		wg.Add(1)
-		go func(r *rank[float64]) {
-			defer wg.Done()
-			r.exchangeHalos()
-		}(r)
-	}
-	wg.Wait()
-}
+// exchangedFrame returns the extended frame rank r swept in the cluster's
+// last iteration: the step swaps the double buffer, so after Run(1) the
+// write half holds the initial tile plus the halos that exchange filled.
+func exchangedFrame(r *rank[float64]) *grid.Grid[float64] { return r.buf.Write }
 
-// TestExchangeHalos runs one manual exchange round on a band chain and
-// checks every rank sees its neighbours' boundary rows.
+// TestExchangeHalos runs one iteration on a band chain and checks every
+// rank saw its neighbours' boundary rows, and counted one exchange round
+// with one message per wired direction.
 func TestExchangeHalos(t *testing.T) {
 	const nx, ny, ranks = 4, 12, 3
 	op := &stencil.Op2D[float64]{St: stencil.Laplace5(0.2), BC: grid.Clamp}
@@ -108,28 +100,38 @@ func TestExchangeHalos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exchangeAll(c)
+	defer c.Close()
+	c.Run(1)
 
 	// Rank 1 owns rows 4..7: its top halo is row 3, its bottom halo row 8.
 	mid := c.ranks[1]
+	frame := exchangedFrame(mid)
 	for x := 0; x < nx; x++ {
-		if got := mid.buf.Read.At(mid.loX()+x, mid.loY()-1); got != float64(300+x) {
+		if got := frame.At(mid.loX()+x, mid.loY()-1); got != float64(300+x) {
 			t.Fatalf("top halo at x=%d: got %g", x, got)
 		}
-		if got := mid.buf.Read.At(mid.loX()+x, mid.hiY()); got != float64(800+x) {
+		if got := frame.At(mid.loX()+x, mid.hiY()); got != float64(800+x) {
 			t.Fatalf("bottom halo at x=%d: got %g", x, got)
 		}
 	}
-	if mid.stats.HaloExchanges != 1 {
-		t.Fatalf("halo exchange counter %d", mid.stats.HaloExchanges)
-	}
-	if mid.stats.HaloByDir != [4]int{1, 1, 0, 0} {
-		t.Fatalf("band rank per-direction counters %v, want up/down only", mid.stats.HaloByDir)
+	for i, s := range c.RankStats() {
+		if s.HaloExchanges != 1 {
+			t.Fatalf("rank %d halo exchange counter %d", i, s.HaloExchanges)
+		}
+		want := [4]int{1, 1, 0, 0} // the middle band sends up and down
+		switch i {
+		case 0:
+			want = [4]int{0, 1, 0, 0}
+		case ranks - 1:
+			want = [4]int{1, 0, 0, 0}
+		}
+		if s.HaloByDir != want {
+			t.Fatalf("band rank %d per-direction counters %v, want %v", i, s.HaloByDir, want)
+		}
 	}
 }
 
-// TestExchangeHalosGridCorners runs one manual exchange round on a 2x2 rank
-// grid and checks that every halo strip — columns, rows, and crucially the
+// TestExchangeHalosGridCorners runs one iteration on a 2x2 rank grid and checks that every halo strip — columns, rows, and crucially the
 // corner blocks threaded through the full-width row messages — holds
 // exactly the value the global domain has at that point, with the domain
 // border synthesised by the boundary condition.
@@ -142,7 +144,8 @@ func TestExchangeHalosGridCorners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exchangeAll(c)
+	defer c.Close()
+	c.Run(1)
 
 	// Every extended-frame cell of every rank must equal the global
 	// boundary-resolved value at its global coordinate.
@@ -153,7 +156,7 @@ func TestExchangeHalosGridCorners(t *testing.T) {
 				gx := r.tile.X0 - r.hx + ex
 				gy := r.tile.Y0 - r.hy + ey
 				want := bg.At(gx, gy)
-				if got := r.buf.Read.At(ex, ey); got != want {
+				if got := exchangedFrame(r).At(ex, ey); got != want {
 					t.Fatalf("rank %d (tile %v) extended cell (%d,%d) = global (%d,%d): got %g, want %g",
 						i, r.tile, ex, ey, gx, gy, got, want)
 				}
@@ -177,14 +180,15 @@ func TestExchangeHalosPeriodicTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exchangeAll(c)
+	defer c.Close()
+	c.Run(1)
 
 	bg := grid.BoundedGrid[float64]{G: init, Cond: grid.Periodic}
 	for i, r := range c.ranks {
 		for ey := 0; ey < r.nyLoc+2*r.hy; ey++ {
 			for ex := 0; ex < r.nxLoc+2*r.hx; ex++ {
 				want := bg.At(r.tile.X0-r.hx+ex, r.tile.Y0-r.hy+ey)
-				if got := r.buf.Read.At(ex, ey); got != want {
+				if got := exchangedFrame(r).At(ex, ey); got != want {
 					t.Fatalf("rank %d extended cell (%d,%d): got %g, want %g", i, ex, ey, got, want)
 				}
 			}

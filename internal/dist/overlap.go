@@ -9,10 +9,8 @@ import (
 	"stencilabft/internal/telemetry"
 )
 
-// This file is the overlap/depth-k rank schedule — the production
-// per-iteration path (rank.advance). It restructures the historical
-// exchange-then-sweep step (exchangeHalos + step, kept as the sequential
-// reference) around two ideas:
+// This file is the overlap/depth-k rank schedule — the 2-D rank's
+// per-iteration path (rank.advance). It is built around two ideas:
 //
 // Compute/communication overlap. On an exchange iteration the rank posts
 // its boundary strips first, sweeps the interior region — every point
@@ -62,8 +60,7 @@ import (
 
 // bindTransport caches the rank's neighbour presence and the transport's
 // optional per-edge completion capability. Called once after r.tr is set;
-// a zero stencil radius in an axis disables that axis's exchange exactly
-// like the historical path.
+// a zero stencil radius in an axis disables that axis's exchange.
 func (r *rank[T]) bindTransport() {
 	r.hasL = r.hx > 0 && r.tr.Neighbor(r.id, Left)
 	r.hasR = r.hx > 0 && r.tr.Neighbor(r.id, Right)

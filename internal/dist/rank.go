@@ -5,7 +5,6 @@ import (
 	"stencilabft/internal/grid"
 	"stencilabft/internal/num"
 	"stencilabft/internal/stencil"
-	"stencilabft/internal/telemetry"
 )
 
 // rank is one simulated MPI rank: an arbitrary tile [x0,x1) × [y0,y1) of
@@ -17,7 +16,7 @@ import (
 // touched only by its own goroutine; neighbour data arrives as copies
 // through channels.
 type rank[T num.Float] struct {
-	id   int
+	rankBase
 	tile Tile // global sub-rectangle owned
 
 	nxLoc, nyLoc int // tile shape
@@ -86,12 +85,6 @@ type rank[T num.Float] struct {
 	// iteration's strip sweeps covered, and only when the strip spanned
 	// tile columns exclusively (zero depth-k margin on that side).
 	stripBL, stripBR []T
-
-	stats Stats
-	// tel times the rank's phases; nil (telemetry disabled) makes every
-	// Begin/End a nil-check no-op, keeping the step allocation-free and
-	// clock-free.
-	tel *telemetry.Recorder
 }
 
 // newRank builds rank id over the global tile t, copying the tile and its
@@ -131,7 +124,7 @@ func newRank[T num.Float](op *stencil.Op2D[T], init *grid.Grid[T], id int, t Til
 		depth = 1
 	}
 	r := &rank[T]{
-		id: id, tile: t, nxLoc: nxLoc, nyLoc: nyLoc, hx: hx, hy: hy,
+		rankBase: rankBase{id: id}, tile: t, nxLoc: nxLoc, nyLoc: nyLoc, hx: hx, hy: hy,
 		rx: op.St.RadiusX(), ry: op.St.RadiusY(), depth: depth,
 		op:       sop,
 		buf:      grid.NewBuffer[T](extNx, extNy),
@@ -195,54 +188,6 @@ func (r *rank[T]) loX() int { return r.hx }
 func (r *rank[T]) hiX() int { return r.hx + r.nxLoc }
 func (r *rank[T]) loY() int { return r.hy }
 func (r *rank[T]) hiY() int { return r.hy + r.nyLoc }
-
-// step advances the rank one iteration: fused sweep over the tile rect,
-// tile-aware checksum interpolation, detection, and local correction. The
-// halo strips of the read buffer must already hold iteration-t neighbour
-// data (exchangeHalos runs first).
-func (r *rank[T]) step(hook stencil.InjectFunc[T]) {
-	src, dst := r.buf.Read, r.buf.Write
-
-	// Halo checksums of iteration t: plain sums of the received halo rows
-	// over the tile's own columns — no checksum is ever communicated (the
-	// paper's zero-overhead distribution argument).
-	t0 := r.tel.Begin()
-	for j := 0; j < r.hy; j++ {
-		r.prevExtB[j] = num.Sum(src.Row(j)[r.loX():r.hiX()])
-		r.prevExtB[r.hiY()+j] = num.Sum(src.Row(r.hiY() + j)[r.loX():r.hiX()])
-	}
-	r.tel.End(telemetry.PhaseVerify, t0)
-
-	t0 = r.tel.Begin()
-	if r.pool != nil {
-		r.pool.ForEachChunk(r.nyLoc, func(lo, hi int) {
-			r.op.SweepRectFused(dst, src, r.loX(), r.loY()+lo, r.hiX(), r.loY()+hi, r.newExtB[r.loY()+lo:], hook)
-		})
-	} else {
-		r.op.SweepRectFused(dst, src, r.loX(), r.loY(), r.hiX(), r.hiY(), r.newExtB[r.loY():], hook)
-	}
-	r.tel.End(telemetry.PhaseSweep, t0)
-
-	t0 = r.tel.Begin()
-	edges := r.edgeRead
-	r.ip.InterpolateBBand(r.prevExtB, r.hy, edges, r.interpB)
-	r.stats.Verifications++
-
-	newB := r.newExtB[r.loY():r.hiY()]
-	mismatch := r.det.AnyMismatch(newB, r.interpB)
-	r.tel.End(telemetry.PhaseVerify, t0)
-	if mismatch {
-		r.stats.Detections++
-		t0 = r.tel.Begin()
-		r.locateAndCorrect(src, dst, edges, newB)
-		r.tel.End(telemetry.PhaseRepair, t0)
-	}
-
-	r.prevExtB, r.newExtB = r.newExtB, r.prevExtB
-	r.buf.Swap()
-	r.edgeRead, r.edgeWrite = r.edgeWrite, r.edgeRead
-	r.stats.Iterations++
-}
 
 // locateAndCorrect is the detection slow path, tile-local throughout: lazy
 // row checksums over the extended x range (halo-column sums serve as the

@@ -18,7 +18,7 @@ import (
 // decomposition buys. All of a rank's state is touched only by its own
 // goroutine; neighbour layers arrive as copies through channels.
 type rank3d[T num.Float] struct {
-	id     int
+	rankBase
 	z0, z1 int // global layers owned, [z0, z1)
 	nx, ny int
 	nzLoc  int // z1 - z0
@@ -63,9 +63,7 @@ type rank3d[T num.Float] struct {
 	globalBC grid.Boundary
 	globalNz int
 
-	corr  checksum.Corrector[T]
-	stats Stats
-	tel   *telemetry.Recorder // nil when telemetry is disabled
+	corr checksum.Corrector[T]
 }
 
 // newRank3D builds rank id over global layers [z0, z1), copying the slab
@@ -101,7 +99,7 @@ func newRank3D[T num.Float](op *stencil.Op3D[T], init *grid.Grid3D[T], id, z0, z
 	}
 
 	r := &rank3d[T]{
-		id: id, z0: z0, z1: z1, nx: nx, ny: ny, nzLoc: nzLoc, h: h,
+		rankBase: rankBase{id: id}, z0: z0, z1: z1, nx: nx, ny: ny, nzLoc: nzLoc, h: h,
 		op:         sop,
 		buf:        grid.NewBuffer3D[T](nx, ny, extNz),
 		ip:         ip,
@@ -144,6 +142,14 @@ func makeVecs[T num.Float](n, length int) [][]T {
 // slabLo/slabHi bound the slab's layers in the extended grid.
 func (r *rank3d[T]) slabLo() int { return r.h }
 func (r *rank3d[T]) slabHi() int { return r.h + r.nzLoc }
+
+// advance runs one iteration of the slab schedule: the blocking halo
+// exchange, then the protected step. The z chain exchanges every
+// iteration, so the absolute iteration number is not needed.
+func (r *rank3d[T]) advance(_ int, hook stencil.InjectFunc[T]) {
+	r.exchangeHalos()
+	r.step(hook)
+}
 
 // exchangeHalos refreshes the read buffer's halo layers with iteration-t
 // data: boundary layers are posted to both z-neighbours first, then the

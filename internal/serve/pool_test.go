@@ -1,9 +1,12 @@
 package serve_test
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,5 +142,29 @@ func TestWorkerRespawnAfterTimeout(t *testing.T) {
 	}
 	if st := waitTerminal(t, ts, id); st.State != serve.StateDone {
 		t.Fatalf("job after respawn settled %s: %s", st.State, st.Error)
+	}
+}
+
+// failWriter is a host pipe that has gone away: every write fails.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("host pipe closed") }
+
+// TestWorkerClosesClusterOnEmitFailure: when the host stops reading
+// mid-job (the first stats event cannot be written), the worker gives up
+// on the job and still releases the cluster's rank goroutines.
+func TestWorkerClosesClusterOnEmitFailure(t *testing.T) {
+	req := `{"id":"j1","iters":4,"statsEvery":1,"spec":{"scheme":"online","deployment":"cluster","ranks":2,` +
+		`"stencil":{"name":"laplace5"},"bc":"clamp","grid":{"nx":16,"ny":12,"generator":"uniform","seed":1}}}` + "\n"
+	baseline := runtime.NumGoroutine()
+	if err := serve.WorkerMain(strings.NewReader(req), failWriter{}); err == nil {
+		t.Fatal("worker reported success through a failed emit")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed job, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -167,6 +167,12 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, emit func(WorkerEv
 	if err != nil {
 		return fail(err)
 	}
+	// Clusters own persistent rank goroutines (and, for gang members, TCP
+	// sockets): release them however the job ends, stats-emit failures
+	// included.
+	if c, ok := p.(io.Closer); ok {
+		defer c.Close()
+	}
 	for i := 1; i <= req.Iters; i++ {
 		p.Step()
 		if req.StatsEvery > 0 && (i%req.StatsEvery == 0 || i == req.Iters) {
@@ -185,7 +191,6 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, emit func(WorkerEv
 			return fail(fmt.Errorf("serve: tcp placement built %T, want a 2-D cluster", p))
 		}
 		ev.Grid = rankTile(cl, req.Rank)
-		cl.Close()
 		return emit(ev)
 	}
 	if g3 := p.Grid3D(); g3 != nil {
@@ -202,9 +207,6 @@ func runTyped[T abft.Float](req JobRequest, w *abft.WireSpec, emit func(WorkerEv
 		ev.Grid = &GridPayload{Nx: g.Nx(), Ny: g.Ny(), Data: data}
 	} else {
 		return fail(errors.New("serve: protector exposed no result domain"))
-	}
-	if c, ok := p.(io.Closer); ok {
-		c.Close()
 	}
 	return emit(ev)
 }

@@ -3,6 +3,7 @@ package stencilabft_test
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -38,6 +39,9 @@ func runBoth[T abft.Float](t *testing.T, spec abft.Spec[T], iters int) {
 		p, err := abft.Build(s)
 		if err != nil {
 			t.Fatalf("build: %v", err)
+		}
+		if c, ok := p.(io.Closer); ok {
+			defer c.Close()
 		}
 		p.Run(iters)
 		p.Finalize()
